@@ -333,9 +333,16 @@ Tensor add_scalar(Tensor a, double s) {
 }
 
 Tensor tanh_op(Tensor a) {
-  return unary(
-      a, +[](double x) { return std::tanh(x); },
-      +[](double, double y) { return 1.0 - y * y; });
+  Tensor out = make_op(a.shape(), {a}, [a](TensorData& r) mutable {
+    if (!a.requires_grad()) return;
+    auto& ga = a.grad();
+    for (std::size_t i = 0; i < ga.size(); ++i) {
+      ga[i] += (1.0 - r.value[i] * r.value[i]) * r.grad[i];
+    }
+  });
+  auto& v = out.value();
+  simd::tanh(kernels::simd_tier(), a.value().data(), v.data(), v.size());
+  return out;
 }
 
 Tensor sigmoid(Tensor a) {
@@ -720,12 +727,14 @@ Tensor linear_tanh(Tensor x, Tensor w, Tensor b) {
   });
   auto& v = out.value();
   kernels::gemm_nn(x.value().data(), w.value().data(), v.data(), n, k, m, false);
+  const simd::Tier tier = kernels::simd_tier();
   if (b.defined()) {
     const auto& vb = b.value();
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = std::tanh(v[i] + vb[i % m]);
-  } else {
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = std::tanh(v[i]);
+    for (std::size_t row = 0; row < n; ++row) {
+      simd::add(tier, v.data() + row * m, vb.data(), v.data() + row * m, m);
+    }
   }
+  simd::tanh(tier, v.data(), v.data(), v.size());
   return out;
 }
 
@@ -771,20 +780,18 @@ Tensor gather_add_tanh(Tensor base, const std::vector<std::size_t>& index,
               });
   auto& v = out.value();
   const auto& bv = base.value();
+  const simd::Tier tier = kernels::simd_tier();
   if (add_term.defined()) {
     const auto& av = add_term.value();
     for (std::size_t i = 0; i < index.size(); ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        v[i * m + j] = std::tanh(bv[index[i] * m + j] + av[i * m + j]);
-      }
+      simd::add(tier, bv.data() + index[i] * m, av.data() + i * m, v.data() + i * m, m);
     }
   } else {
     for (std::size_t i = 0; i < index.size(); ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        v[i * m + j] = std::tanh(bv[index[i] * m + j]);
-      }
+      std::copy_n(bv.data() + index[i] * m, m, v.data() + i * m);
     }
   }
+  simd::tanh(tier, v.data(), v.data(), v.size());
   return out;
 }
 

@@ -22,7 +22,10 @@
 // vfmadd for exactly this reason.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -161,6 +164,71 @@ inline void gemm_tn_cols_scalar(const double* a, const double* b, double* c,
     }
   }
 }
+
+// tanh for every tier. |x| < 0.3 uses the odd Taylor polynomial
+// x + x·(s·P(s)), s = x², through x^23. Above that, tanh = e / (e + 2) with
+// e = expm1(2|x|): the Cody–Waite reduction 2|x| = k·ln2 + r, |r| <= ln2/2, a
+// degree-13 Taylor polynomial p ≈ expm1(r), and e = 2^k·p + (2^k − 1). k is
+// rounded to nearest even by the 1.5·2^52 shifter, whose low mantissa bits
+// then hold k, so 2^k is built with integer ops and no tier depends on a
+// rounding-mode instruction. |x| is clamped to 22 first: from ≈19.1 up
+// e/(e+2) already rounds to exactly 1, so the clamp saturates to ±1 without a
+// branch. The sign is restored last, so ±0 keeps its sign and a denormal comes
+// out as itself (s·P(s) underflows to 0); NaN is passed through unchanged.
+// Error against glibc tanh: at most 3 ULP (DESIGN.md §5.5).
+inline constexpr double kTanhSmall = 0.3;
+inline constexpr double kTanhClamp = 22.0;
+inline constexpr double kTanhCoef[] = {  // x^3 .. x^23 of tanh's Taylor series
+    -0x1.5555555555555p-2, 0x1.1111111111111p-3,  -0x1.ba1ba1ba1ba1cp-5,
+    0x1.664f4882c10fap-6,  -0x1.226e355e6c23dp-7, 0x1.d6d3d0e157de0p-9,
+    -0x1.7da36452b75e3p-10, 0x1.3558248036744p-11, -0x1.f57d7734d1664p-13,
+    0x1.967e18afcafadp-14, -0x1.497d8eea25259p-15,
+};
+inline constexpr int kTanhTerms = sizeof(kTanhCoef) / sizeof(kTanhCoef[0]);
+inline constexpr double kInvLn2 = 0x1.71547652b82fep0;
+inline constexpr double kLn2Hi = 0x1.62e42feep-1;  // low 21 bits zero: k·kLn2Hi exact
+inline constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+inline constexpr double kRoundShift = 0x1.8p52;
+inline constexpr double kExpm1Coef[] = {  // 1/2! .. 1/13!
+    1.0 / 2,       1.0 / 6,        1.0 / 24,        1.0 / 120,
+    1.0 / 720,     1.0 / 5040,     1.0 / 40320,     1.0 / 362880,
+    1.0 / 3628800, 1.0 / 39916800, 1.0 / 479001600, 1.0 / 6227020800,
+};
+inline constexpr int kExpm1Terms = sizeof(kExpm1Coef) / sizeof(kExpm1Coef[0]);
+
+// The scalar reference is the op sequence every tier replicates, so it gets
+// the same fp-contract barrier as the vector kernels below.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+inline double tanh_scalar(double x) {
+  if (x != x) return x;
+  double a = std::fabs(x);
+  double t;
+  if (a < kTanhSmall) {
+    const double s = a * a;
+    double q = kTanhCoef[kTanhTerms - 1];
+    for (int j = kTanhTerms - 2; j >= 0; --j) q = kTanhCoef[j] + s * q;
+    t = a + a * (s * q);
+  } else {
+    a = a < kTanhClamp ? a : kTanhClamp;
+    const double y = a + a;
+    const double kd = y * kInvLn2 + kRoundShift;
+    const std::uint64_t kbits = std::bit_cast<std::uint64_t>(kd) -
+                                std::bit_cast<std::uint64_t>(kRoundShift);
+    const double two_k = std::bit_cast<double>((kbits + 1023) << 52);
+    const double kf = kd - kRoundShift;
+    const double r = (y - kf * kLn2Hi) - kf * kLn2Lo;
+    double q = kExpm1Coef[kExpm1Terms - 1];
+    for (int j = kExpm1Terms - 2; j >= 0; --j) q = kExpm1Coef[j] + r * q;
+    const double p = r + (r * r) * q;
+    const double e = two_k * p + (two_k - 1.0);
+    t = e / (e + 2.0);
+  }
+  return std::copysign(t, x);
+}
+
+#pragma GCC pop_options
 
 #if defined(SC_SIMD_X86)
 
@@ -746,6 +814,117 @@ __attribute__((target("avx512f"))) inline void accumulate_mul_avx512(double* dst
   for (; i < n; ++i) dst[i] += a[i] * b[i];
 }
 
+// tanh lanes: tanh_scalar's op sequence, one element per lane. Both branches
+// are evaluated on min(|x|, 22) and blended on |x| < 0.3 (the clamp leaves
+// the small branch's inputs untouched); NaN lanes are restored from x last.
+// The 2^k bit trick and the sign restore are integer/bitwise and cannot round.
+
+__attribute__((target("avx2"))) inline __m256d tanh_lanes_avx2(__m256d x) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d ax = _mm256_andnot_pd(sign, x);
+  const __m256d a = _mm256_min_pd(ax, _mm256_set1_pd(kTanhClamp));
+
+  const __m256d s = _mm256_mul_pd(a, a);
+  __m256d sq = _mm256_set1_pd(kTanhCoef[kTanhTerms - 1]);
+  for (int j = kTanhTerms - 2; j >= 0; --j) {
+    sq = _mm256_add_pd(_mm256_set1_pd(kTanhCoef[j]), _mm256_mul_pd(s, sq));
+  }
+  const __m256d small = _mm256_add_pd(a, _mm256_mul_pd(a, _mm256_mul_pd(s, sq)));
+
+  const __m256d y = _mm256_add_pd(a, a);
+  const __m256d shift = _mm256_set1_pd(kRoundShift);
+  const __m256d kd = _mm256_add_pd(_mm256_mul_pd(y, _mm256_set1_pd(kInvLn2)), shift);
+  const __m256i kbits =
+      _mm256_sub_epi64(_mm256_castpd_si256(kd), _mm256_castpd_si256(shift));
+  const __m256d two_k = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_add_epi64(kbits, _mm256_set1_epi64x(1023)), 52));
+  const __m256d kf = _mm256_sub_pd(kd, shift);
+  const __m256d r =
+      _mm256_sub_pd(_mm256_sub_pd(y, _mm256_mul_pd(kf, _mm256_set1_pd(kLn2Hi))),
+                    _mm256_mul_pd(kf, _mm256_set1_pd(kLn2Lo)));
+  __m256d q = _mm256_set1_pd(kExpm1Coef[kExpm1Terms - 1]);
+  for (int j = kExpm1Terms - 2; j >= 0; --j) {
+    q = _mm256_add_pd(_mm256_set1_pd(kExpm1Coef[j]), _mm256_mul_pd(r, q));
+  }
+  const __m256d p = _mm256_add_pd(r, _mm256_mul_pd(_mm256_mul_pd(r, r), q));
+  const __m256d e =
+      _mm256_add_pd(_mm256_mul_pd(two_k, p), _mm256_sub_pd(two_k, _mm256_set1_pd(1.0)));
+  const __m256d large = _mm256_div_pd(e, _mm256_add_pd(e, _mm256_set1_pd(2.0)));
+
+  const __m256d is_small = _mm256_cmp_pd(ax, _mm256_set1_pd(kTanhSmall), _CMP_LT_OQ);
+  const __m256d t = _mm256_blendv_pd(large, small, is_small);
+  const __m256d signed_t = _mm256_or_pd(t, _mm256_and_pd(sign, x));
+  return _mm256_blendv_pd(signed_t, x, _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
+}
+
+__attribute__((target("avx2"))) inline void tanh_avx2(const double* in, double* out,
+                                                      std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(out + i, tanh_lanes_avx2(_mm256_loadu_pd(in + i)));
+  }
+  for (; i < n; ++i) out[i] = tanh_scalar(in[i]);
+}
+
+__attribute__((target("avx512f"))) inline __m512d tanh_lanes_avx512(__m512d x) {
+  // Unmasked _mm512_andnot_si512/_mm512_min_pd/_mm512_slli_epi64 trip GCC
+  // 12's -Wmaybe-uninitialized inside the intrinsic headers, hence the and,
+  // compare+blend and maskz forms.
+  const __m512i sign = _mm512_set1_epi64(static_cast<long long>(0x8000000000000000ULL));
+  const __m512i xi = _mm512_castpd_si512(x);
+  const __m512d ax =
+      _mm512_castsi512_pd(_mm512_and_si512(_mm512_set1_epi64(0x7FFFFFFFFFFFFFFFLL), xi));
+  const __m512d clamp = _mm512_set1_pd(kTanhClamp);
+  const __m512d a =
+      _mm512_mask_blend_pd(_mm512_cmp_pd_mask(ax, clamp, _CMP_LT_OQ), clamp, ax);
+
+  const __m512d s = _mm512_mul_pd(a, a);
+  __m512d sq = _mm512_set1_pd(kTanhCoef[kTanhTerms - 1]);
+  for (int j = kTanhTerms - 2; j >= 0; --j) {
+    sq = _mm512_add_pd(_mm512_set1_pd(kTanhCoef[j]), _mm512_mul_pd(s, sq));
+  }
+  const __m512d small = _mm512_add_pd(a, _mm512_mul_pd(a, _mm512_mul_pd(s, sq)));
+
+  const __m512d y = _mm512_add_pd(a, a);
+  const __m512d shift = _mm512_set1_pd(kRoundShift);
+  const __m512d kd = _mm512_add_pd(_mm512_mul_pd(y, _mm512_set1_pd(kInvLn2)), shift);
+  const __m512i kbits =
+      _mm512_sub_epi64(_mm512_castpd_si512(kd), _mm512_castpd_si512(shift));
+  const __m512d two_k = _mm512_castsi512_pd(
+      _mm512_maskz_slli_epi64(0xFF, _mm512_add_epi64(kbits, _mm512_set1_epi64(1023)), 52));
+  const __m512d kf = _mm512_sub_pd(kd, shift);
+  const __m512d r =
+      _mm512_sub_pd(_mm512_sub_pd(y, _mm512_mul_pd(kf, _mm512_set1_pd(kLn2Hi))),
+                    _mm512_mul_pd(kf, _mm512_set1_pd(kLn2Lo)));
+  __m512d q = _mm512_set1_pd(kExpm1Coef[kExpm1Terms - 1]);
+  for (int j = kExpm1Terms - 2; j >= 0; --j) {
+    q = _mm512_add_pd(_mm512_set1_pd(kExpm1Coef[j]), _mm512_mul_pd(r, q));
+  }
+  const __m512d p = _mm512_add_pd(r, _mm512_mul_pd(_mm512_mul_pd(r, r), q));
+  const __m512d e =
+      _mm512_add_pd(_mm512_mul_pd(two_k, p), _mm512_sub_pd(two_k, _mm512_set1_pd(1.0)));
+  const __m512d large = _mm512_div_pd(e, _mm512_add_pd(e, _mm512_set1_pd(2.0)));
+
+  const __mmask8 is_small = _mm512_cmp_pd_mask(ax, _mm512_set1_pd(kTanhSmall), _CMP_LT_OQ);
+  const __m512d t = _mm512_mask_blend_pd(is_small, large, small);
+  const __m512d signed_t = _mm512_castsi512_pd(
+      _mm512_or_si512(_mm512_castpd_si512(t), _mm512_and_si512(sign, xi)));
+  return _mm512_mask_blend_pd(_mm512_cmp_pd_mask(x, x, _CMP_UNORD_Q), signed_t, x);
+}
+
+__attribute__((target("avx512f"))) inline void tanh_avx512(const double* in, double* out,
+                                                           std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(out + i, tanh_lanes_avx512(_mm512_loadu_pd(in + i)));
+  }
+  if (i < n) {
+    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_pd(out + i, tail,
+                          tanh_lanes_avx512(_mm512_maskz_loadu_pd(tail, in + i)));
+  }
+}
+
 #pragma GCC pop_options
 
 #endif  // SC_SIMD_X86
@@ -981,6 +1160,17 @@ inline void accumulate_mul(Tier tier, double* dst, const double* a, const double
 #endif
   (void)tier;
   for (std::size_t i = 0; i < n; ++i) dst[i] += a[i] * b[i];
+}
+
+/// out[i] = tanh(in[i]); `out` may alias `in`. Every tier is bitwise equal to
+/// detail::tanh_scalar; NEON runs that scalar reference.
+inline void tanh(Tier tier, const double* in, double* out, std::size_t n) {
+#if defined(SC_SIMD_X86)
+  if (tier == Tier::Avx512) return detail::tanh_avx512(in, out, n);
+  if (tier == Tier::Avx2) return detail::tanh_avx2(in, out, n);
+#endif
+  (void)tier;
+  for (std::size_t i = 0; i < n; ++i) out[i] = detail::tanh_scalar(in[i]);
 }
 
 /// Scratch size gemm_nt_rows needs for its packed tile.

@@ -18,7 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -264,6 +269,183 @@ TEST(SimdKernels, MatmulEndToEndParityAcrossToggle) {
   expect_bitwise(off.first, on.first, "matmul value");
   expect_bitwise(off.second.first, on.second.first, "matmul grad-a");
   expect_bitwise(off.second.second, on.second.second, "matmul grad-b");
+}
+
+// ---- tanh kernel -------------------------------------------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Distance in units in the last place between two finite doubles, counted
+/// across zero on the sign-magnitude number line.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ordered = [](double x) {
+    const auto u = static_cast<std::int64_t>(bits(x));
+    return u < 0 ? std::numeric_limits<std::int64_t>::min() - u : u;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? static_cast<std::uint64_t>(-d) : static_cast<std::uint64_t>(d);
+}
+
+std::vector<double> tanh_tier(simd::Tier tier, const std::vector<double>& in) {
+  std::vector<double> out(in.size());
+  simd::tanh(tier, in.data(), out.data(), in.size());
+  return out;
+}
+
+/// Bitwise (not ==) so NaN payloads and the sign of zero count too.
+void expect_same_bits(const std::vector<double>& want, const std::vector<double>& got,
+                      const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(bits(want[i]), bits(got[i])) << what << " diverges at element " << i;
+  }
+}
+
+TEST(SimdTanh, EveryTierMatchesScalarAtEveryTailLength) {
+  Rng rng(4242);
+  for (std::size_t n = 0; n <= 67; ++n) {
+    std::vector<double> in(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      in[i] = rng.normal() * (i % 3 == 0 ? 0.2 : 4.0);  // both kernel branches
+    }
+    const std::vector<double> ref = tanh_tier(simd::Tier::Scalar, in);
+    for (const simd::Tier tier : available_tiers()) {
+      const std::string ctx = std::string(simd::tier_name(tier)) + " n=" + std::to_string(n);
+      expect_same_bits(ref, tanh_tier(tier, in), ctx);
+      std::vector<double> inplace = in;  // out may alias in
+      simd::tanh(tier, inplace.data(), inplace.data(), n);
+      expect_same_bits(ref, inplace, ctx + " in place");
+    }
+  }
+}
+
+TEST(SimdTanh, WithinFourUlpOfLibmOnDenseSweep) {
+  std::vector<double> xs;
+  constexpr int kLog = 2'000'000;  // magnitudes 2^-30 .. 2^5, both signs
+  for (int i = 0; i < kLog; ++i) {
+    const double mag = std::exp2(-30.0 + 35.0 * i / (kLog - 1));
+    xs.push_back(mag);
+    xs.push_back(-mag);
+  }
+  for (int i = -250'000; i <= 250'000; ++i) xs.push_back(i * 1e-4);  // [-25, 25]
+
+  const std::vector<double> ref = tanh_tier(simd::Tier::Scalar, xs);
+  std::uint64_t worst = 0;
+  double worst_x = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::uint64_t d = ulp_distance(ref[i], std::tanh(xs[i]));
+    if (d > worst) {
+      worst = d;
+      worst_x = xs[i];
+    }
+  }
+  EXPECT_LE(worst, 4u) << "worst at x = " << worst_x;
+  std::printf("simd::tanh max error vs std::tanh: %llu ULP at x = %.17g (%zu points)\n",
+              static_cast<unsigned long long>(worst), worst_x, xs.size());
+  for (const simd::Tier tier : available_tiers()) {
+    expect_same_bits(ref, tanh_tier(tier, xs), simd::tier_name(tier));
+  }
+}
+
+TEST(SimdTanh, SpecialValuesAndBranchPoints) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  const double clamp = simd::detail::kTanhClamp;
+  const double small = simd::detail::kTanhSmall;
+  for (const simd::Tier tier : available_tiers()) {
+    const std::string ctx = simd::tier_name(tier);
+    const auto t = [tier](double x) {
+      double y = 0.0;
+      simd::tanh(tier, &x, &y, 1);
+      return y;
+    };
+    EXPECT_EQ(bits(t(0.0)), bits(0.0)) << ctx;
+    EXPECT_EQ(bits(t(-0.0)), bits(-0.0)) << ctx;
+    for (const double d : {denorm_min, 1e-310, 2.2e-308}) {
+      EXPECT_EQ(bits(t(d)), bits(d)) << ctx << " x=" << d;
+      EXPECT_EQ(bits(t(-d)), bits(-d)) << ctx << " x=" << -d;
+    }
+    EXPECT_EQ(t(inf), 1.0) << ctx;
+    EXPECT_EQ(t(-inf), -1.0) << ctx;
+    EXPECT_TRUE(std::isnan(t(nan))) << ctx;
+    EXPECT_TRUE(std::isnan(t(-nan))) << ctx;
+    EXPECT_EQ(t(std::numeric_limits<double>::max()), 1.0) << ctx;
+    EXPECT_EQ(t(-1e300), -1.0) << ctx;
+    // The saturation clamp, the small-|x| polynomial cutoff, and the point
+    // from which e / (e + 2) rounds to 1.
+    for (const double p : {clamp, small, 19.06}) {
+      for (const double x : {std::nextafter(p, 0.0), p, std::nextafter(p, inf)}) {
+        EXPECT_LE(ulp_distance(t(x), std::tanh(x)), 4u) << ctx << " x=" << x;
+        EXPECT_LE(ulp_distance(t(-x), std::tanh(-x)), 4u) << ctx << " x=" << -x;
+      }
+    }
+    EXPECT_EQ(t(clamp), 1.0) << ctx;
+    EXPECT_EQ(t(-std::nextafter(clamp, inf)), -1.0) << ctx;
+    // Monotone across the polynomial cutoff.
+    EXPECT_LE(t(std::nextafter(small, 0.0)), t(small)) << ctx;
+    EXPECT_LE(t(small), t(std::nextafter(small, inf))) << ctx;
+  }
+}
+
+/// Applies the dispatched kernel to a pre-activation tensor.
+std::vector<double> kernel_tanh(const Tensor& pre) {
+  return tanh_tier(kernels::simd_tier(), pre.value());
+}
+
+/// True when libm's tanh disagrees with the kernel somewhere in `pre`, i.e.
+/// the site comparison below could tell a libm call from the kernel.
+bool libm_differs(const Tensor& pre) {
+  const std::vector<double> k = kernel_tanh(pre);
+  for (std::size_t i = 0; i < k.size(); ++i) {
+    if (bits(k[i]) != bits(std::tanh(pre.value()[i]))) return true;
+  }
+  return false;
+}
+
+TEST(SimdTanh, EveryTanhSiteIsTheKernelOnItsPreActivation) {
+  DispatchGuard guard;
+  const bool prev_fused = fused::enabled();
+  Rng rng(77);
+  const std::size_t n = 29, k = 13, m = 11, edges = 53;
+  const Tensor x = Tensor::randn({n, k}, rng, 1.0, true);
+  const Tensor w = Tensor::randn({k, m}, rng, 1.0, true);
+  const Tensor b = Tensor::randn({m}, rng, 1.0, true);
+  const Tensor base = Tensor::randn({n, m}, rng, 1.5, true);
+  const Tensor addend = Tensor::randn({edges, m}, rng, 1.5, true);
+  std::vector<std::size_t> index(edges);
+  for (std::size_t e = 0; e < edges; ++e) index[e] = rng.index(n);
+
+  for (const simd::Tier tier : available_tiers()) {
+    simd::set_tier(tier);
+    for (const bool fused_on : {true, false}) {
+      fused::set_enabled(fused_on);
+      const std::string ctx = std::string(simd::tier_name(tier)) +
+                              (fused_on ? " fused" : " unfused");
+      Tensor pre_lin, pre_lin_bias, pre_gather, pre_gather_add;
+      {
+        NoGradGuard no_grad;
+        pre_lin = matmul(x, w);
+        pre_lin_bias = add(pre_lin, b);
+        pre_gather = gather_rows(base, index);
+        pre_gather_add = add(pre_gather, addend);
+      }
+      ASSERT_TRUE(libm_differs(pre_lin_bias)) << "inputs too easy to detect libm";
+
+      expect_same_bits(kernel_tanh(pre_lin_bias), tanh_op(pre_lin_bias).value(),
+                       ctx + " tanh_op");
+      expect_same_bits(kernel_tanh(pre_lin_bias), linear_tanh(x, w, b).value(),
+                       ctx + " linear_tanh+bias");
+      expect_same_bits(kernel_tanh(pre_lin), linear_tanh(x, w, Tensor()).value(),
+                       ctx + " linear_tanh");
+      expect_same_bits(kernel_tanh(pre_gather_add),
+                       gather_add_tanh(base, index, addend).value(),
+                       ctx + " gather_add_tanh+addend");
+      expect_same_bits(kernel_tanh(pre_gather), gather_add_tanh(base, index, Tensor()).value(),
+                       ctx + " gather_add_tanh");
+    }
+  }
+  fused::set_enabled(prev_fused);
 }
 
 }  // namespace

@@ -79,20 +79,33 @@ struct ConnState {
   std::mutex write_mutex;
 };
 
-/// Buffered line reader over a socket fd.
+/// Longest request line the server buffers. Request graphs of the in-memory
+/// settings serialise to tens of kilobytes, so this leaves ample headroom
+/// while bounding what one connection can make the server hold.
+constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+
+/// Buffered line reader over a socket fd. A line longer than kMaxLineBytes
+/// (newline or not) ends the stream with overflowed() set, so a client that
+/// never sends '\n' cannot grow the buffer past the cap + one recv chunk.
 class LineReader {
 public:
   explicit LineReader(int fd) : fd_(fd) {}
 
   bool next(std::string& line) {
     for (;;) {
-      const auto nl = buf_.find('\n');
-      if (nl != std::string::npos) {
+      const auto nl = buf_.find('\n', scanned_);
+      if (nl != std::string::npos && nl <= kMaxLineBytes) {
         line.assign(buf_, 0, nl);
         buf_.erase(0, nl + 1);
+        scanned_ = 0;
         if (!line.empty() && line.back() == '\r') line.pop_back();
         return true;
       }
+      if (nl != std::string::npos || buf_.size() > kMaxLineBytes) {
+        overflowed_ = true;
+        return false;
+      }
+      scanned_ = buf_.size();
       char chunk[4096];
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n <= 0) return false;
@@ -100,9 +113,14 @@ public:
     }
   }
 
+  /// True once next() has stopped on a line longer than kMaxLineBytes.
+  bool overflowed() const { return overflowed_; }
+
 private:
   int fd_;
   std::string buf_;
+  std::size_t scanned_ = 0;  // prefix of buf_ already searched for '\n'
+  bool overflowed_ = false;
 };
 
 int listen_unix(const std::string& path) {
@@ -203,6 +221,16 @@ void serve_connection(std::shared_ptr<ConnState> conn, sc::serve::AllocationServ
       shed.error = "queue full (shed)";
       conn->write_line(serve::write_response(shed));
     }
+  }
+  if (reader.overflowed()) {
+    // The rest of the stream cannot be re-synchronised to a line boundary
+    // without buffering it, so answer once and drop the connection: the fd
+    // closes once responses to earlier requests on it have been written.
+    serve::AllocResponse err;
+    err.status = serve::ResponseStatus::Error;
+    err.error = "request line exceeds " + std::to_string(kMaxLineBytes) +
+                " bytes; closing connection";
+    conn->write_line(serve::write_response(err));
   }
 }
 
