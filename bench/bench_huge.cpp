@@ -289,10 +289,10 @@ std::string hex64(std::uint64_t v) {
 
 /// Flips every toggle this bench A/Bs in one move. `on` = the pipelined
 /// production configuration; off = the serial baseline arm (the committed
-/// behavior before the pipelined-ingest/heap-FM/workspace-coarsen changes).
+/// behavior before the pipelined-ingest/workspace-coarsen changes). Both arms
+/// run the same FM refiner.
 void set_arm(bool on) {
   sc::graph::parallel_ingest::set_enabled(on);
-  sc::partition::fm_heap::set_enabled(on);
   sc::partition::coarsen_ws::set_enabled(on);
   sc::partition::pipelined_streaming::set_enabled(on);
 }

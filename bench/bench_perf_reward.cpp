@@ -10,8 +10,8 @@
 //                 allocating path.
 //   partition   : metis_allocate_coarse with PartitionWorkspace (reused
 //                 coarsening levels / bisection frames / refinement buffers)
-//                 + bucketed FM gain structure vs the legacy allocating
-//                 partitioner with full-rescan FM.
+//                 vs the legacy allocating partitioner. Both arms run the
+//                 same gain-bucket FM refiner.
 //   end_to_end  : uncached evaluate_mask over a fixed pool of random masks
 //                 spanning several densities — the real cache-miss reward
 //                 path — with ALL toggles flipped together.
@@ -225,21 +225,19 @@ Level make_level(bool tiny, sc::gen::Setting setting, std::uint64_t seed) {
 
 /// Flips every PR-5 fast-path toggle at once; returns the previous settings.
 struct Toggles {
-  bool contraction, workspace, fm;
+  bool contraction, workspace;
 };
 
 Toggles set_fast_paths(bool on) {
   Toggles prev;
   prev.contraction = sc::graph::contraction_scratch::set_enabled(on);
   prev.workspace = sc::partition::workspace::set_enabled(on);
-  prev.fm = sc::partition::fm_buckets::set_enabled(on);
   return prev;
 }
 
 void restore(const Toggles& t) {
   sc::graph::contraction_scratch::set_enabled(t.contraction);
   sc::partition::workspace::set_enabled(t.workspace);
-  sc::partition::fm_buckets::set_enabled(t.fm);
 }
 
 /// Repeats `body` until `min_seconds` elapse; returns (reps, elapsed).
@@ -489,7 +487,7 @@ int main(int argc, char** argv) try {
 
   const auto part = bench_partition(level, tiny);
   std::cout << "  partition  " << metrics::Table::fmt(part.us_fast, 1)
-            << " us/op workspace+buckets vs " << metrics::Table::fmt(part.us_legacy, 1)
+            << " us/op workspace vs " << metrics::Table::fmt(part.us_legacy, 1)
             << " legacy (" << metrics::Table::fmt(part.speedup, 2) << "x)\n";
 
   const auto e2e = bench_end_to_end(level, tiny);

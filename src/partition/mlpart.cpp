@@ -285,7 +285,7 @@ void bisect_ws(const WeightedGraph& g, double target0, double eps, std::size_t t
                std::size_t refine_passes, Rng& rng, BisectFrame& f) {
   double best_cut = std::numeric_limits<double>::infinity();
   double best_bal = std::numeric_limits<double>::infinity();
-  fm_refine_bind(g);  // every trial refines the same graph
+  const FmBinding binding(g);  // every trial refines the same graph
   for (std::size_t t = 0; t < std::max<std::size_t>(1, trials); ++t) {
     grow_bisection_ws(g, target0, rng, f.trial, f);
     const double cut = fm_refine_bisection(g, f.trial, target0, eps, refine_passes);

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <utility>
 
 #include "common/error.hpp"
 #include "partition/metrics.hpp"
@@ -19,37 +18,36 @@ using graph::WeightedGraph;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Bucketed FM gain structure (DESIGN.md §5.4).
+// FM gain buckets (DESIGN.md §5.4).
 //
 // Gains are doubles, so classic integer gain buckets do not apply directly.
-// Instead each gain is mapped to its order-preserving 64-bit pattern (flip
-// all bits of negatives, set the sign bit of non-negatives — the standard
-// monotone float ordering trick) and bucketed by the top 12 bits (sign +
-// exponent, 4096 buckets). Buckets hold intrusive doubly-linked lists with a
-// 64-word occupancy bitset, so locating the highest non-empty bucket is O(1)
-// word scans. Because the mapping is monotone, every gain in a lower bucket
-// is strictly smaller than every gain in a higher one, so scanning only the
-// topmost bucket that contains a balance-eligible node — picking the exact
-// (max gain, lowest id) inside it — reproduces the legacy full-scan
-// selection bit for bit. (Gains are never -0.0: accumulation starts at +0.0
-// and IEEE addition never produces -0.0 from a +0.0 accumulator, so equal
-// gains always share one bit pattern and therefore one bucket.)
+// Each gain maps to a bucket through a monotone step function of its IEEE
+// pattern: the magnitude's 11 exponent bits and top 4 mantissa bits form a
+// level (16 levels per octave), the sign mirrors it around a middle bucket
+// that holds 0. Levels are clamped to a window sized from the graph: the top
+// level is the largest weighted degree (no gain can exceed it) and the
+// bottom sits four octaves below the lightest nonzero edge, capped at
+// kMaxLevels. Gains whose magnitude falls below the window share the zero
+// bucket; that keeps the mapping monotone, only coarser. Equal gains (+0.0
+// and -0.0 included) share one bucket, and a gain in a lower bucket is
+// strictly smaller than every gain in a higher one, so scanning the topmost
+// bucket that holds a balance-eligible node for the exact (max gain, lowest
+// id) reproduces the full-scan pick bit for bit. Sixteen levels per octave
+// keep that bucket small where one bucket per exponent held hundreds of
+// nodes (~20K-node coarse graphs).
 // ---------------------------------------------------------------------------
 
-constexpr std::size_t kNumBuckets = 4096;
+constexpr int kMantissaBits = 4;
+constexpr int kMaxLevels = 2047;             // 2 * kMaxLevels + 1 buckets at most
+constexpr std::size_t kBitsetBuckets = 4096; // occupancy bitset capacity
+static_assert(2 * kMaxLevels + 1 <= static_cast<int>(kBitsetBuckets));
 constexpr std::int32_t kNil = -1;
 
-/// Order-preserving 64-bit pattern of a gain: a > b iff key(a) > key(b).
-std::uint64_t gain_key_bits(double gain) {
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(gain);
-  return (bits & 0x8000000000000000ULL) != 0 ? ~bits : (bits | 0x8000000000000000ULL);
+/// Monotone magnitude code: exponent bits + top kMantissaBits mantissa bits.
+int magnitude_code(double x) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x) & 0x7FFFFFFFFFFFFFFFULL;
+  return static_cast<int>(bits >> (52 - kMantissaBits));
 }
-
-int gain_bucket(double gain) { return static_cast<int>(gain_key_bits(gain) >> 52); }
-
-/// Lazy-heap entry: (gain key, ~id) so the max-heap order is gain descending
-/// with ties broken toward the LOWEST node id — the legacy scan's choice.
-using HeapEntry = std::pair<std::uint64_t, std::uint32_t>;
 
 struct FmScratch {
   std::vector<double> gain;
@@ -58,22 +56,26 @@ struct FmScratch {
   std::vector<std::int32_t> head;       // bucket -> first node (kNil if empty)
   std::vector<std::int32_t> next, prev; // intrusive per-node links
   std::vector<std::int32_t> bucket_of;  // node -> its bucket (kNil if absent)
-  std::uint64_t occ[kNumBuckets / 64] = {};
+  std::uint64_t occ[kBitsetBuckets / 64] = {};
   std::uint64_t occ_sum = 0;  // bit w set iff occ[w] != 0 (two-level bitset)
+  // Bucket window of the flattened graph: levels (code - level_base) are
+  // clamped to [0, levels]; bucket = levels -/+ level, so 2 * levels + 1
+  // buckets.
+  int level_base = 0;
+  int levels = 1;
   // Flat (neighbor, weight) adjacency copied once per bound graph, in the
   // exact g.incident() edge order, so gain sums stay bit-identical while the
   // inner loops read contiguous memory instead of chasing edge ids. `bound`
-  // is trusted only between an fm_refine_bind() and the next change to the
-  // graph object (bisect trial loops re-bind every time).
+  // is set only for the lifetime of an FmBinding.
   std::vector<std::int32_t> adj_off;
   std::vector<NodeId> adj_nbr;
   std::vector<double> adj_w;
   const WeightedGraph* bound = nullptr;
-  // Lazy-heap selection storage (fm_heap variant): `heap` holds live and
-  // stale entries, `stash` parks fresh-but-balance-ineligible entries popped
-  // while hunting for the step's pick.
-  std::vector<HeapEntry> heap;
-  std::vector<HeapEntry> stash;
+
+  int bucket(double g) const {
+    const int level = std::clamp(magnitude_code(g) - level_base, 0, levels);
+    return std::signbit(g) ? levels - level : levels + level;
+  }
 
   void reset(std::size_t n) {
     gain.resize(n);  // every entry is overwritten before its first read
@@ -81,33 +83,31 @@ struct FmScratch {
     moves.clear();
     if (moves.capacity() < n) moves.reserve(n);
     // Lazy bucket clear: only buckets the previous pass actually occupied are
-    // touched (the two-level occupancy bitset knows which), not all 4096.
-    if (head.size() != kNumBuckets) {
-      head.assign(kNumBuckets, kNil);
-      std::fill(std::begin(occ), std::end(occ), 0);
-      occ_sum = 0;
-    } else {
-      std::uint64_t words = occ_sum;
-      while (words != 0) {
-        const std::size_t w = static_cast<std::size_t>(std::countr_zero(words));
-        words &= words - 1;
-        std::uint64_t bits = occ[w];
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          head[w * 64 + static_cast<std::size_t>(b)] = kNil;
-        }
-        occ[w] = 0;
+    // touched (the two-level occupancy bitset knows which). The head array
+    // only grows, to this graph's window, so small graphs touch little of it.
+    std::uint64_t words = occ_sum;
+    while (words != 0) {
+      const std::size_t w = static_cast<std::size_t>(std::countr_zero(words));
+      words &= words - 1;
+      std::uint64_t bits = occ[w];
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        bits &= bits - 1;
+        head[w * 64 + static_cast<std::size_t>(b)] = kNil;
       }
-      occ_sum = 0;
+      occ[w] = 0;
     }
-    next.resize(n);  // insert() writes both links before any read
+    occ_sum = 0;
+    const std::size_t num_buckets = 2 * static_cast<std::size_t>(levels) + 1;
+    if (head.size() < num_buckets) head.resize(num_buckets, kNil);
+    // Every node is inserted right after a reset, and insert() writes all
+    // three of these before any read.
+    next.resize(n);
     prev.resize(n);
-    bucket_of.assign(n, kNil);
+    bucket_of.resize(n);
   }
 
-  void insert(NodeId v) {
-    const int b = gain_bucket(gain[v]);
+  void insert(NodeId v, int b) {
     bucket_of[v] = b;
     prev[v] = kNil;
     next[v] = head[b];
@@ -135,20 +135,20 @@ struct FmScratch {
   }
 
   /// Highest occupied bucket strictly below `from` (or the global highest
-  /// when from == kNumBuckets). O(1) via the two-level bitset: the summary
+  /// when from == kBitsetBuckets). O(1) via the two-level bitset: the summary
   /// word locates the highest non-empty occupancy word directly instead of
   /// walking all 64 words between gain clusters.
   int highest_below(int from) const {
     const std::size_t word = static_cast<std::size_t>(from) / 64;
     const int bit = from % 64;
-    if (from < static_cast<int>(kNumBuckets) && bit > 0) {
+    if (from < static_cast<int>(kBitsetBuckets) && bit > 0) {
       const std::uint64_t masked = occ[word] & ((std::uint64_t{1} << bit) - 1);
       if (masked != 0) {
         return static_cast<int>(word * 64 + 63 - static_cast<std::size_t>(std::countl_zero(masked)));
       }
     }
-    // from == kNumBuckets means "global highest": every summary bit is below
-    // word 64, so the mask is all of occ_sum (1 << 64 would be UB).
+    // from == kBitsetBuckets means "global highest": every summary bit is
+    // below word 64, so the mask is all of occ_sum (1 << 64 would be UB).
     const std::uint64_t sum_masked = word >= 64 ? occ_sum
                                      : word == 0
                                          ? 0
@@ -166,9 +166,9 @@ struct FmScratch {
 };
 
 /// Copies (neighbor, weight) pairs in the exact g.incident() edge order —
-/// identical iteration order means bit-identical gain sums. Does NOT set
-/// s.bound: only fm_refine_bind() may vouch that the graph object stays
-/// unchanged across calls.
+/// identical iteration order means bit-identical gain sums — and sizes the
+/// bucket window from the weights. Does NOT set s.bound: only an FmBinding
+/// may vouch that the graph object stays unchanged across calls.
 // sc-lint: hot-path
 void flatten_adjacency(const WeightedGraph& g, FmScratch& s) {
   const std::size_t n = g.num_nodes();
@@ -185,276 +185,38 @@ void flatten_adjacency(const WeightedGraph& g, FmScratch& s) {
   }
   s.adj_nbr.resize(static_cast<std::size_t>(s.adj_off[n]));
   s.adj_w.resize(static_cast<std::size_t>(s.adj_off[n]));
+  // |gain(v)| never exceeds v's weighted degree summed in the same order
+  // (rounding is monotone), so the largest one bounds every gain.
+  double max_degree = 0.0;
+  double min_weight = std::numeric_limits<double>::infinity();
   for (NodeId v = 0; v < n; ++v) {
     std::int32_t idx = s.adj_off[v];
+    double degree = 0.0;
     for (const graph::EdgeId e : g.incident(v)) {
+      const double w = g.edge(e).weight;
       s.adj_nbr[static_cast<std::size_t>(idx)] = g.other(e, v);
-      s.adj_w[static_cast<std::size_t>(idx)] = g.edge(e).weight;
+      s.adj_w[static_cast<std::size_t>(idx)] = w;
       ++idx;
+      degree += std::abs(w);
+      if (w != 0.0) min_weight = std::min(min_weight, std::abs(w));
     }
+    max_degree = std::max(max_degree, degree);
   }
+  // Level 0 (the zero bucket) must hold code 0, so the base is >= 0.
+  const int top = magnitude_code(max_degree);
+  const int bottom = min_weight <= max_degree
+                         ? magnitude_code(min_weight) - (4 << kMantissaBits)
+                         : top;
+  s.level_base = std::max({bottom - 1, top - kMaxLevels, 0});
+  s.levels = std::max(top - s.level_base, 1);
 }
 
-/// Bucketed FM pass, bit-identical to the legacy full-scan variant: same
-/// move sequence, same rollback, same cut. Marked hot-path: after warm-up it
-/// allocates nothing.
+/// FM bisection refinement over the gain buckets. Marked hot-path: after
+/// warm-up it allocates nothing.
 // sc-lint: hot-path
 double fm_refine_bisection_buckets(const WeightedGraph& g, std::vector<int>& part,
                                    double target0, double eps, std::size_t max_passes,
                                    FmScratch& s) {
-  const std::size_t n = g.num_nodes();
-  const double total = g.total_node_weight();
-  const double target1 = total - target0;
-  double max_node_w = 0.0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    max_node_w = std::max(max_node_w, g.node_weight(v));
-  }
-  const double cap0 = (1.0 + eps) * std::max(target0, 1e-12);
-  const double cap1 = (1.0 + eps) * std::max(target1, 1e-12);
-  const double explore0 = std::max(cap0, target0 + max_node_w);
-  const double explore1 = std::max(cap1, target1 + max_node_w);
-
-  double side_w[2] = {0.0, 0.0};
-  for (NodeId v = 0; v < n; ++v) side_w[part[v]] += g.node_weight(v);
-
-  double cut = cut_weight(g, part);
-
-  if (s.bound != &g) flatten_adjacency(g, s);
-
-  const auto recompute_gain = [&](NodeId v) {
-    const int pv = part[v];
-    double gv = 0.0;
-    for (std::int32_t i = s.adj_off[v]; i < s.adj_off[v + 1]; ++i) {
-      const double w = s.adj_w[static_cast<std::size_t>(i)];
-      gv += (part[s.adj_nbr[static_cast<std::size_t>(i)]] != pv) ? w : -w;
-    }
-    s.gain[v] = gv;
-  };
-
-  for (std::size_t pass = 0; pass < max_passes; ++pass) {
-    s.reset(n);
-    for (NodeId v = 0; v < n; ++v) {
-      recompute_gain(v);
-      s.insert(v);
-    }
-    double best_cut = cut;
-    std::size_t best_prefix = 0;
-    double running = cut;
-
-    for (std::size_t step = 0; step < n; ++step) {
-      // Descend buckets until one yields a balance-eligible node; within it
-      // pick the exact (max gain, lowest id) — the legacy scan's choice.
-      NodeId pick = graph::kInvalidNode;
-      double pick_gain = 0.0;
-      for (int b = s.highest_below(static_cast<int>(kNumBuckets)); b != kNil;
-           b = s.highest_below(b)) {
-        for (std::int32_t cur = s.head[b]; cur != kNil; cur = s.next[cur]) {
-          // Bucket entries are node indices (< n) by construction; this is
-          // the FM inner loop, so skip the redundant range check.
-          const NodeId v = static_cast<NodeId>(cur);  // sc-lint: allow(unchecked-id-narrowing)
-          const int to = 1 - part[v];
-          const double new_w = side_w[to] + g.node_weight(v);
-          if ((to == 0 ? new_w > explore0 : new_w > explore1)) continue;
-          if (pick == graph::kInvalidNode || s.gain[v] > pick_gain ||
-              (s.gain[v] == pick_gain && v < pick)) {
-            pick = v;
-            pick_gain = s.gain[v];
-          }
-        }
-        if (pick != graph::kInvalidNode) break;
-      }
-      if (pick == graph::kInvalidNode) break;
-
-      const int from = part[pick];
-      const int to = 1 - from;
-      side_w[from] -= g.node_weight(pick);
-      side_w[to] += g.node_weight(pick);
-      part[pick] = to;
-      s.locked[pick] = 1;
-      s.remove(pick);
-      running -= pick_gain;
-      s.moves.push_back(pick);
-      // Locked neighbors' gains are dead values (never read again this pass;
-      // the next pass recomputes everything), so only live ones are refreshed
-      // — the legacy path recomputes them too, with identical outcome.
-      for (std::int32_t i = s.adj_off[pick]; i < s.adj_off[pick + 1]; ++i) {
-        const NodeId u = s.adj_nbr[static_cast<std::size_t>(i)];
-        if (s.locked[u] != 0) continue;
-        recompute_gain(u);
-        // Relink only on a bucket change: the pick loop scans the whole
-        // bucket, so within-bucket position cannot affect the selection.
-        if (gain_bucket(s.gain[u]) != s.bucket_of[u]) {
-          s.remove(u);
-          s.insert(u);
-        }
-      }
-      const bool feasible = side_w[0] <= cap0 + 1e-12 && side_w[1] <= cap1 + 1e-12;
-      if (feasible && running < best_cut - 1e-12) {
-        best_cut = running;
-        best_prefix = s.moves.size();
-      }
-    }
-
-    for (std::size_t i = s.moves.size(); i > best_prefix; --i) {
-      const NodeId v = s.moves[i - 1];
-      const int from = part[v];
-      const int to = 1 - from;
-      side_w[from] -= g.node_weight(v);
-      side_w[to] += g.node_weight(v);
-      part[v] = to;
-    }
-
-    if (best_cut >= cut - 1e-12) {
-      cut = best_cut;
-      break;
-    }
-    cut = best_cut;
-  }
-  return cut;
-}
-
-/// Lazy-heap FM pass (the fm_heap variant): the same prologue, rollback and
-/// convergence logic as fm_refine_bisection_buckets, but each step's best
-/// move comes from a max-heap of (gain key, ~id) entries with lazy
-/// invalidation instead of a scan of the topmost occupied gain bucket.
-///
-/// Decision identity: every unlocked node always owns at least one FRESH
-/// entry (key == gain_key_bits of its current gain) — seeded at pass start,
-/// re-pushed whenever a neighbor update changes the key, and restored from
-/// the stash when a pop finds it balance-ineligible. Pops arrive in globally
-/// decreasing key order, so the first fresh, unlocked, balance-eligible pop
-/// IS the (max gain, lowest id) choice of the legacy scan. Stale entries
-/// (key mismatch) and locked nodes' entries are discarded on pop; an ABA
-/// re-push (gain returns to an old value) merely duplicates an identical
-/// key, which cannot change the argmax. Per-step cost is
-/// O((stale + stash + 1) log n) against the bucket scan's O(population of
-/// the top bucket) — the dominant cost on bisection-heavy coarse graphs.
-// sc-lint: hot-path
-double fm_refine_bisection_heap(const WeightedGraph& g, std::vector<int>& part,
-                                double target0, double eps, std::size_t max_passes,
-                                FmScratch& s) {
-  const std::size_t n = g.num_nodes();
-  const double total = g.total_node_weight();
-  const double target1 = total - target0;
-  double max_node_w = 0.0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    max_node_w = std::max(max_node_w, g.node_weight(v));
-  }
-  const double cap0 = (1.0 + eps) * std::max(target0, 1e-12);
-  const double cap1 = (1.0 + eps) * std::max(target1, 1e-12);
-  const double explore0 = std::max(cap0, target0 + max_node_w);
-  const double explore1 = std::max(cap1, target1 + max_node_w);
-
-  double side_w[2] = {0.0, 0.0};
-  for (NodeId v = 0; v < n; ++v) side_w[part[v]] += g.node_weight(v);
-
-  double cut = cut_weight(g, part);
-
-  if (s.bound != &g) flatten_adjacency(g, s);
-
-  const auto recompute_gain = [&](NodeId v) {
-    const int pv = part[v];
-    double gv = 0.0;
-    for (std::int32_t i = s.adj_off[v]; i < s.adj_off[v + 1]; ++i) {
-      const double w = s.adj_w[static_cast<std::size_t>(i)];
-      gv += (part[s.adj_nbr[static_cast<std::size_t>(i)]] != pv) ? w : -w;
-    }
-    s.gain[v] = gv;
-  };
-
-  for (std::size_t pass = 0; pass < max_passes; ++pass) {
-    s.gain.resize(n);  // every entry is overwritten before its first read
-    s.locked.assign(n, 0);
-    s.moves.clear();
-    if (s.moves.capacity() < n) s.moves.reserve(n);
-    s.heap.clear();
-    if (s.heap.capacity() < n) s.heap.reserve(n);
-    for (NodeId v = 0; v < n; ++v) {
-      recompute_gain(v);
-      s.heap.push_back({gain_key_bits(s.gain[v]), ~static_cast<std::uint32_t>(v)});
-    }
-    std::make_heap(s.heap.begin(), s.heap.end());
-    double best_cut = cut;
-    std::size_t best_prefix = 0;
-    double running = cut;
-
-    for (std::size_t step = 0; step < n; ++step) {
-      NodeId pick = graph::kInvalidNode;
-      double pick_gain = 0.0;
-      s.stash.clear();
-      while (!s.heap.empty()) {
-        std::pop_heap(s.heap.begin(), s.heap.end());
-        const HeapEntry top = s.heap.back();
-        s.heap.pop_back();
-        // Heap entries encode node indices (< n) by construction.
-        const NodeId v = static_cast<NodeId>(~top.second);  // sc-lint: allow(unchecked-id-narrowing)
-        if (s.locked[v] != 0 || top.first != gain_key_bits(s.gain[v])) {
-          continue;  // locked or stale: a fresher entry (or none) supersedes it
-        }
-        const int to = 1 - part[v];
-        const double new_w = side_w[to] + g.node_weight(v);
-        if ((to == 0 ? new_w > explore0 : new_w > explore1)) {
-          s.stash.push_back(top);  // still fresh; only ineligible THIS step
-          continue;
-        }
-        pick = v;
-        pick_gain = s.gain[v];
-        break;
-      }
-      for (const HeapEntry& e : s.stash) {
-        s.heap.push_back(e);
-        std::push_heap(s.heap.begin(), s.heap.end());
-      }
-      if (pick == graph::kInvalidNode) break;
-
-      const int from = part[pick];
-      const int to = 1 - from;
-      side_w[from] -= g.node_weight(pick);
-      side_w[to] += g.node_weight(pick);
-      part[pick] = to;
-      s.locked[pick] = 1;
-      running -= pick_gain;
-      s.moves.push_back(pick);
-      for (std::int32_t i = s.adj_off[pick]; i < s.adj_off[pick + 1]; ++i) {
-        const NodeId u = s.adj_nbr[static_cast<std::size_t>(i)];
-        if (s.locked[u] != 0) continue;
-        const std::uint64_t old_key = gain_key_bits(s.gain[u]);
-        recompute_gain(u);
-        const std::uint64_t new_key = gain_key_bits(s.gain[u]);
-        if (new_key != old_key) {
-          s.heap.push_back({new_key, ~static_cast<std::uint32_t>(u)});
-          std::push_heap(s.heap.begin(), s.heap.end());
-        }
-      }
-      const bool feasible = side_w[0] <= cap0 + 1e-12 && side_w[1] <= cap1 + 1e-12;
-      if (feasible && running < best_cut - 1e-12) {
-        best_cut = running;
-        best_prefix = s.moves.size();
-      }
-    }
-
-    for (std::size_t i = s.moves.size(); i > best_prefix; --i) {
-      const NodeId v = s.moves[i - 1];
-      const int from = part[v];
-      const int to = 1 - from;
-      side_w[from] -= g.node_weight(v);
-      side_w[to] += g.node_weight(v);
-      part[v] = to;
-    }
-
-    if (best_cut >= cut - 1e-12) {
-      cut = best_cut;
-      break;
-    }
-    cut = best_cut;
-  }
-  return cut;
-}
-
-/// Legacy FM (full rescan per move), kept verbatim for the fm_buckets=off
-/// A/B baseline.
-double fm_refine_bisection_legacy(const WeightedGraph& g, std::vector<int>& part,
-                                  double target0, double eps, std::size_t max_passes) {
   const std::size_t n = g.num_nodes();
   const double total = g.total_node_weight();
   const double target1 = total - target0;
@@ -475,40 +237,50 @@ double fm_refine_bisection_legacy(const WeightedGraph& g, std::vector<int>& part
 
   double cut = cut_weight(g, part);
 
+  if (s.bound != &g) flatten_adjacency(g, s);
+
   // gain[v] = cut reduction if v switches sides.
-  std::vector<double> gain(n, 0.0);
   const auto recompute_gain = [&](NodeId v) {
+    const int pv = part[v];
     double gv = 0.0;
-    for (const graph::EdgeId e : g.incident(v)) {
-      const NodeId u = g.other(e, v);
-      gv += (part[u] != part[v]) ? g.edge(e).weight : -g.edge(e).weight;
+    for (std::int32_t i = s.adj_off[v]; i < s.adj_off[v + 1]; ++i) {
+      const double w = s.adj_w[static_cast<std::size_t>(i)];
+      gv += (part[s.adj_nbr[static_cast<std::size_t>(i)]] != pv) ? w : -w;
     }
-    gain[v] = gv;
+    s.gain[v] = gv;
   };
 
   for (std::size_t pass = 0; pass < max_passes; ++pass) {
-    for (NodeId v = 0; v < n; ++v) recompute_gain(v);
-    std::vector<bool> locked(n, false);
-    std::vector<NodeId> moves;
-    moves.reserve(n);
+    s.reset(n);
+    for (NodeId v = 0; v < n; ++v) {
+      recompute_gain(v);
+      s.insert(v, s.bucket(s.gain[v]));
+    }
     double best_cut = cut;
     std::size_t best_prefix = 0;
     double running = cut;
 
     for (std::size_t step = 0; step < n; ++step) {
-      // Best unlocked node whose move keeps the destination side within the
-      // exploratory bound.
+      // Descend buckets until one yields a balance-eligible node; within it
+      // pick the exact (max gain, lowest id).
       NodeId pick = graph::kInvalidNode;
-      double pick_gain = -std::numeric_limits<double>::infinity();
-      for (NodeId v = 0; v < n; ++v) {
-        if (locked[v]) continue;
-        const int to = 1 - part[v];
-        const double new_w = side_w[to] + g.node_weight(v);
-        if ((to == 0 ? new_w > explore0 : new_w > explore1)) continue;
-        if (gain[v] > pick_gain) {
-          pick_gain = gain[v];
-          pick = v;
+      double pick_gain = 0.0;
+      for (int b = s.highest_below(static_cast<int>(kBitsetBuckets)); b != kNil;
+           b = s.highest_below(b)) {
+        for (std::int32_t cur = s.head[b]; cur != kNil; cur = s.next[cur]) {
+          // Bucket entries are node indices (< n) by construction; this is
+          // the FM inner loop, so skip the redundant range check.
+          const NodeId v = static_cast<NodeId>(cur);  // sc-lint: allow(unchecked-id-narrowing)
+          const int to = 1 - part[v];
+          const double new_w = side_w[to] + g.node_weight(v);
+          if ((to == 0 ? new_w > explore0 : new_w > explore1)) continue;
+          if (pick == graph::kInvalidNode || s.gain[v] > pick_gain ||
+              (s.gain[v] == pick_gain && v < pick)) {
+            pick = v;
+            pick_gain = s.gain[v];
+          }
         }
+        if (pick != graph::kInvalidNode) break;
       }
       if (pick == graph::kInvalidNode) break;
 
@@ -518,23 +290,35 @@ double fm_refine_bisection_legacy(const WeightedGraph& g, std::vector<int>& part
       side_w[from] -= g.node_weight(pick);
       side_w[to] += g.node_weight(pick);
       part[pick] = to;
-      locked[pick] = true;
+      s.locked[pick] = 1;
+      s.remove(pick);
       running -= pick_gain;
-      moves.push_back(pick);
-      for (const graph::EdgeId e : g.incident(pick)) {
-        recompute_gain(g.other(e, pick));
+      s.moves.push_back(pick);
+      // Locked neighbors' gains are dead values (never read again this pass;
+      // the next pass recomputes everything), so only live ones are refreshed.
+      for (std::int32_t i = s.adj_off[pick]; i < s.adj_off[pick + 1]; ++i) {
+        const NodeId u = s.adj_nbr[static_cast<std::size_t>(i)];
+        if (s.locked[u] != 0) continue;
+        recompute_gain(u);
+        // Relink only on a bucket change: the pick loop scans the whole
+        // bucket, so within-bucket position cannot affect the selection.
+        const int b = s.bucket(s.gain[u]);
+        if (b != s.bucket_of[u]) {
+          s.remove(u);
+          s.insert(u, b);
+        }
       }
       // Only prefixes satisfying the strict balance caps may be committed.
       const bool feasible = side_w[0] <= cap0 + 1e-12 && side_w[1] <= cap1 + 1e-12;
       if (feasible && running < best_cut - 1e-12) {
         best_cut = running;
-        best_prefix = moves.size();
+        best_prefix = s.moves.size();
       }
     }
 
     // Roll back moves beyond the best prefix.
-    for (std::size_t i = moves.size(); i > best_prefix; --i) {
-      const NodeId v = moves[i - 1];
+    for (std::size_t i = s.moves.size(); i > best_prefix; --i) {
+      const NodeId v = s.moves[i - 1];
       const int from = part[v];
       const int to = 1 - from;
       side_w[from] -= g.node_weight(v);
@@ -666,25 +450,16 @@ double greedy_kway_impl(const WeightedGraph& g, std::vector<int>& part,
 double fm_refine_bisection(const WeightedGraph& g, std::vector<int>& part,
                            double target0, double eps, std::size_t max_passes) {
   SC_CHECK(part.size() == g.num_nodes(), "partition size mismatch");
-  if (fm_buckets::enabled()) {
-    if (fm_heap::enabled()) {
-      return fm_refine_bisection_heap(g, part, target0, eps, max_passes,
-                                      FmScratch::local());
-    }
-    return fm_refine_bisection_buckets(g, part, target0, eps, max_passes,
-                                       FmScratch::local());
-  }
-  // The legacy path allocates per call by design: it is the fm_buckets=off
-  // A/B baseline whose cost the benchmarks measure against.
-  return fm_refine_bisection_legacy(g, part, target0, eps, max_passes);  // sc-lint: allow(transitive-alloc)
+  return fm_refine_bisection_buckets(g, part, target0, eps, max_passes, FmScratch::local());
 }
 
-void fm_refine_bind(const WeightedGraph& g) {
-  if (!fm_buckets::enabled()) return;
+FmBinding::FmBinding(const WeightedGraph& g) {
   FmScratch& s = FmScratch::local();
   flatten_adjacency(g, s);
   s.bound = &g;
 }
+
+FmBinding::~FmBinding() { FmScratch::local().bound = nullptr; }
 
 double greedy_kway_refine(const WeightedGraph& g, std::vector<int>& part, std::size_t k,
                           double eps, std::size_t max_passes) {

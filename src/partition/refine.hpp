@@ -15,13 +15,20 @@ namespace sc::partition {
 double fm_refine_bisection(const graph::WeightedGraph& g, std::vector<int>& part,
                            double target0, double eps, std::size_t max_passes = 8);
 
-/// Performance hint for the bucketed fast path: pre-flattens `g`'s adjacency
-/// into this thread's FM scratch so consecutive fm_refine_bisection() calls
-/// on the SAME graph object (e.g. the bisection trial loop) skip the rebuild.
-/// The caller must re-bind after mutating or replacing the graph; calls with
-/// a graph that is not the bound one are still correct (they build their own
-/// adjacency). No-op when the fm_buckets toggle is off.
-void fm_refine_bind(const graph::WeightedGraph& g);
+/// Scoped performance hint: while a binding is alive, fm_refine_bisection()
+/// calls on `g` from this thread reuse one flattened copy of its adjacency
+/// instead of rebuilding it per call (the bisection trial loop refines the
+/// same graph several times). `g` must stay alive and unchanged for the
+/// binding's lifetime; calls on any other graph build their own adjacency.
+/// The binding ends with the scope, so a later graph that happens to reuse
+/// `g`'s address is never mistaken for it.
+class FmBinding {
+public:
+  explicit FmBinding(const graph::WeightedGraph& g);
+  ~FmBinding();
+  FmBinding(const FmBinding&) = delete;
+  FmBinding& operator=(const FmBinding&) = delete;
+};
 
 /// Greedy boundary refinement on a k-way partition under the balance
 /// constraint max part weight <= (1 + eps) * total / k. Returns the final cut.

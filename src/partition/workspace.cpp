@@ -16,30 +16,6 @@ bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 }  // namespace workspace
 
-namespace fm_buckets {
-
-namespace {
-std::atomic<bool> g_enabled{true};
-}  // namespace
-
-bool set_enabled(bool enabled) { return g_enabled.exchange(enabled, std::memory_order_relaxed); }
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-}  // namespace fm_buckets
-
-namespace fm_heap {
-
-namespace {
-std::atomic<bool> g_enabled{true};
-}  // namespace
-
-bool set_enabled(bool enabled) { return g_enabled.exchange(enabled, std::memory_order_relaxed); }
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-}  // namespace fm_heap
-
 namespace coarsen_ws {
 
 namespace {

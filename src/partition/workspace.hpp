@@ -36,28 +36,6 @@ bool set_enabled(bool enabled);
 bool enabled();
 }  // namespace workspace
 
-/// Toggle for the bucketed FM gain structure in fm_refine_bisection
-/// (gain buckets + intrusive doubly-linked lists, O(1) best-move selection
-/// instead of a full rescan per move). Default: enabled.
-namespace fm_buckets {
-/// Toggles the bucketed path (returns the previous setting). Default: enabled.
-bool set_enabled(bool enabled);
-bool enabled();
-}  // namespace fm_buckets
-
-/// Toggle for lazy-heap FM move selection layered on top of fm_buckets'
-/// scratch: best-move picks pop a max-heap of (monotone gain bits, ~id)
-/// entries with lazy invalidation instead of scanning the topmost gain
-/// bucket's list. Decision-identical to both other variants (same move
-/// sequence, same cut); it only changes how the argmax is located, cutting
-/// the dominant per-step bucket-entry scan cost on bisection-heavy runs.
-/// Ignored when fm_buckets is off. Default: enabled.
-namespace fm_heap {
-/// Toggles the heap selection path (returns the previous setting).
-bool set_enabled(bool enabled);
-bool enabled();
-}  // namespace fm_heap
-
 /// Toggle for the workspace-reusing MultilevelPartitioner::coarsen_to loop
 /// (heavy_edge_matching_ws + contract_matching_ws ping-ponging two retained
 /// levels instead of allocating a matching, a Contraction, and a coarse

@@ -170,13 +170,11 @@ TEST(RewardHotPathStress, WorkspaceChurnAcrossThreads) {
   {
     const bool ps = graph::contraction_scratch::set_enabled(false);
     const bool pw = partition::workspace::set_enabled(false);
-    const bool pf = partition::fm_buckets::set_enabled(false);
     for (std::size_t i = 0; i < items.size(); ++i) {
       serial_legacy[i] = rl::evaluate_mask(contexts[items[i].ctx], items[i].mask, placer).reward;
     }
     graph::contraction_scratch::set_enabled(ps);
     partition::workspace::set_enabled(pw);
-    partition::fm_buckets::set_enabled(pf);
   }
 
   ThreadPool pool(4);

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "common/error.hpp"
 
 #include "common/rng.hpp"
+#include "gen/dataset.hpp"
 #include "gen/generator.hpp"
 #include "graph/rates.hpp"
 #include "partition/metrics.hpp"
@@ -157,6 +161,48 @@ TEST(Mlpart, CoarsenToOneGroupsEverything) {
   MultilevelPartitioner p;
   const auto groups = p.coarsen_to(g, 1);
   for (const auto gid : groups) EXPECT_EQ(gid, groups[0]);
+}
+
+// FNV-1a over the part labels: a compact placement fingerprint.
+std::uint64_t label_fingerprint(const std::vector<int>& part) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const int q : part) {
+    h ^= static_cast<std::uint32_t>(q);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Golden placements. Refactors of the partitioner (matching, bisection, FM,
+// k-way refinement) must reproduce these exact labellings; a change that
+// moves either fingerprint changes placements and must say so.
+TEST(Mlpart, GoldenFingerprintMediumGraphK10) {
+  Rng rng(0x5EED0010u);
+  const auto sg = gen::generate_graph(gen::setting_config(gen::Setting::Medium), rng);
+  const WeightedGraph g = graph::to_weighted(sg, graph::compute_load_profile(sg));
+  const auto part = MultilevelPartitioner().partition(g, 10);
+  ASSERT_EQ(g.num_nodes(), 144u);
+  EXPECT_EQ(label_fingerprint(part), 0xea54086b48c69a18ULL);
+}
+
+// A coarse-graph stand-in for the Huge tier's global partition: heavy,
+// uneven supernode weights and edge weights spread over ~12 octaves.
+TEST(Mlpart, GoldenFingerprintCoarseGraphK64) {
+  Rng rng(0x5EED0064u);
+  const std::size_t n = 3000;
+  std::vector<double> weights(n);
+  for (double& w : weights) w = 1.0 + static_cast<double>(rng.index(40));
+  std::vector<WeightedEdge> edges;
+  for (std::size_t v = 0; v < n; ++v) {
+    for (int d = 0; d < 3; ++d) {
+      const std::size_t u = (v + 1 + rng.index(50)) % n;
+      edges.push_back({static_cast<graph::NodeId>(v), static_cast<graph::NodeId>(u),
+                       std::exp(8.0 * rng.uniform())});
+    }
+  }
+  const WeightedGraph g(std::move(weights), edges);
+  const auto part = MultilevelPartitioner().partition(g, 64);
+  EXPECT_EQ(label_fingerprint(part), 0x3ca7c863a593bd46ULL);
 }
 
 TEST(Mlpart, InvalidKThrows) {

@@ -78,15 +78,16 @@ TEST(PerfToggles, EpochStatsBitIdenticalAcrossAllToggles) {
 }
 
 TEST(PerfToggles, RewardHotPathTogglesKeepStatsAndCheckpointsIdentical) {
-  // The PR-5 reward hot-path levers — contraction scratch, partition
-  // workspace, bucketed FM — must not perturb training either: epoch stats
-  // stay bit-identical and the serialized checkpoint (parameters, Adam
-  // moments, RNG stream, buffers) is byte-for-byte the same file.
+  // The reward hot-path levers — contraction scratch and partition
+  // workspace — must not perturb training either: epoch stats stay
+  // bit-identical and the serialized checkpoint (parameters, Adam moments,
+  // RNG stream, buffers) is byte-for-byte the same file. (The FM refiner has
+  // one implementation; tests/partition/test_refine.cpp checks it against a
+  // full-scan oracle.)
   const auto graphs = small_graphs(4, 53);
-  auto run = [&](bool scratch_on, bool ws_on, bool fm_on) {
+  auto run = [&](bool scratch_on, bool ws_on) {
     const bool prev_scratch = graph::contraction_scratch::set_enabled(scratch_on);
     const bool prev_ws = partition::workspace::set_enabled(ws_on);
-    const bool prev_fm = partition::fm_buckets::set_enabled(fm_on);
     ThreadPool serial(1);
     auto contexts = make_contexts(graphs, spec());
     gnn::CoarseningPolicy policy{gnn::PolicyConfig{}};
@@ -100,16 +101,14 @@ TEST(PerfToggles, RewardHotPathTogglesKeepStatsAndCheckpointsIdentical) {
     write_trainer_state(checkpoint, trainer.export_state());
     graph::contraction_scratch::set_enabled(prev_scratch);
     partition::workspace::set_enabled(prev_ws);
-    partition::fm_buckets::set_enabled(prev_fm);
     return std::pair{stats, checkpoint.str()};
   };
 
-  const auto base = run(true, true, true);
+  const auto base = run(true, true);
   for (const auto& [label, stats_and_ckpt] :
-       {std::pair{"scratch off", run(false, true, true)},
-        std::pair{"workspace off", run(true, false, true)},
-        std::pair{"fm buckets off", run(true, true, false)},
-        std::pair{"all legacy", run(false, false, false)}}) {
+       {std::pair{"scratch off", run(false, true)},
+        std::pair{"workspace off", run(true, false)},
+        std::pair{"all legacy", run(false, false)}}) {
     expect_bit_identical(base.first, stats_and_ckpt.first, label);
     EXPECT_EQ(base.second, stats_and_ckpt.second)
         << label << ": checkpoint files differ";

@@ -1,9 +1,9 @@
-// Property tests for the reward hot path's performance toggles (PR-5):
-// contraction scratch, partition workspace, and bucketed FM gain structure.
-// Every fast path claims bit-identity with its legacy twin, so the sweep
-// asserts EXPECT_EQ on raw reward doubles — no tolerance — across random
-// graphs, mask densities, all eight toggle combinations, and workspaces that
-// are forced to shrink and grow between calls on the same thread.
+// Property tests for the reward hot path's performance toggles: contraction
+// scratch and partition workspace. Every fast path claims bit-identity with
+// its legacy twin, so the sweep asserts EXPECT_EQ on raw reward doubles — no
+// tolerance — across random graphs, mask densities, all four toggle
+// combinations, and workspaces that are forced to shrink and grow between
+// calls on the same thread.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,23 +18,21 @@
 namespace sc::rl {
 namespace {
 
-// Sets all three hot-path toggles, restoring the previous values on scope
-// exit so test order can never leak toggle state.
+// Sets both hot-path toggles, restoring the previous values on scope exit
+// so test order can never leak toggle state.
 struct ToggleGuard {
-  ToggleGuard(bool scratch, bool ws, bool fm)
+  ToggleGuard(bool scratch, bool ws)
       : prev_scratch_(graph::contraction_scratch::set_enabled(scratch)),
-        prev_ws_(partition::workspace::set_enabled(ws)),
-        prev_fm_(partition::fm_buckets::set_enabled(fm)) {}
+        prev_ws_(partition::workspace::set_enabled(ws)) {}
   ~ToggleGuard() {
     graph::contraction_scratch::set_enabled(prev_scratch_);
     partition::workspace::set_enabled(prev_ws_);
-    partition::fm_buckets::set_enabled(prev_fm_);
   }
   ToggleGuard(const ToggleGuard&) = delete;
   ToggleGuard& operator=(const ToggleGuard&) = delete;
 
  private:
-  bool prev_scratch_, prev_ws_, prev_fm_;
+  bool prev_scratch_, prev_ws_;
 };
 
 std::vector<graph::StreamGraph> random_graphs(std::size_t count, std::size_t min_nodes,
@@ -67,7 +65,7 @@ TEST(RewardHotPath, BitIdenticalAcrossAllToggleCombinations) {
   // Reference rewards from the all-legacy configuration.
   std::vector<std::vector<Episode>> expected;
   {
-    ToggleGuard off(false, false, false);
+    ToggleGuard off(false, false);
     for (const auto& ctx : contexts) {
       Rng rng(7 * (expected.size() + 1));
       auto& per_graph = expected.emplace_back();
@@ -79,8 +77,8 @@ TEST(RewardHotPath, BitIdenticalAcrossAllToggleCombinations) {
   }
 
   // Every other toggle combination must reproduce the exact doubles.
-  for (int bits = 1; bits < 8; ++bits) {
-    ToggleGuard combo((bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0);
+  for (int bits = 1; bits < 4; ++bits) {
+    ToggleGuard combo((bits & 1) != 0, (bits & 2) != 0);
     for (std::size_t gi = 0; gi < contexts.size(); ++gi) {
       Rng rng(7 * (gi + 1));  // same mask stream as the reference pass
       for (std::size_t di = 0; di < std::size(densities); ++di) {
@@ -127,11 +125,11 @@ TEST(RewardHotPath, WorkspaceSurvivesShrinkAndGrowBetweenGraphs) {
 
   std::vector<double> legacy, fast;
   {
-    ToggleGuard off(false, false, false);
+    ToggleGuard off(false, false);
     legacy = eval_all();
   }
   {
-    ToggleGuard on(true, true, true);
+    ToggleGuard on(true, true);
     fast = eval_all();
   }
   ASSERT_EQ(legacy.size(), fast.size());
@@ -159,11 +157,11 @@ TEST(RewardHotPath, CoarsenOnlyPlacerMatchesAcrossToggles) {
     }
   };
   {
-    ToggleGuard off(false, false, false);
+    ToggleGuard off(false, false);
     eval_all(legacy);
   }
   {
-    ToggleGuard on(true, true, true);
+    ToggleGuard on(true, true);
     eval_all(fast);
   }
   ASSERT_EQ(legacy.size(), fast.size());

@@ -282,7 +282,14 @@ int run_server(const sc::Flags& flags) {
             << " max=" << cfg.max_batch << " window=" << cfg.batch_window_us << "us)"
             << std::endl;
 
-  std::vector<std::thread> conn_threads;
+  // One thread per live connection. A finished connection raises its done
+  // flag; the accept loop joins those threads, so a long-running server
+  // holds threads (and their stacks) only for connections still open.
+  struct ConnThread {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+  std::vector<ConnThread> conn_threads;
   for (;;) {
     const int cfd = ::accept(g_listen_fd, nullptr, nullptr);
     if (cfd < 0) {
@@ -290,19 +297,24 @@ int run_server(const sc::Flags& flags) {
       if (errno == EINTR) continue;
       break;
     }
+    std::erase_if(conn_threads, [](ConnThread& c) {
+      if (!c.done->load(std::memory_order_acquire)) return false;
+      c.thread.join();
+      return true;
+    });
     auto conn = std::make_shared<ConnState>(cfd);
-    conn_threads.emplace_back(
-        [conn, &service, default_spec, best_of_cap]() mutable {
-          serve_connection(std::move(conn), service, default_spec, best_of_cap);
-        });
+    auto done = std::make_shared<std::atomic<bool>>(false);
+    std::thread thread([conn, done, &service, default_spec, best_of_cap]() mutable {
+      serve_connection(std::move(conn), service, default_spec, best_of_cap);
+      done->store(true, std::memory_order_release);
+    });
+    conn_threads.push_back({std::move(thread), std::move(done)});
   }
 
   // Graceful drain: close admission, answer everything already accepted,
   // then tear down connections and the listener.
   service.stop();
-  for (auto& t : conn_threads) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& c : conn_threads) c.thread.join();
   ::close(g_listen_fd);
   const auto s = service.stats();
   std::cout << "sc_serve: drained (accepted=" << s.accepted << ", completed=" << s.completed
